@@ -6,21 +6,13 @@
 namespace protemp::api {
 
 AsyncTablePolicy::AsyncTablePolicy(
-    TableCache::Future future, AsyncFallback fallback, double trip_celsius,
+    TableCache::Future future, double trip_celsius,
     std::shared_ptr<const TableBuildInfo> build_info)
     : future_(std::move(future)),
-      fallback_(std::move(fallback)),
       trip_celsius_(trip_celsius),
       build_info_(std::move(build_info)) {
   if (!future_.valid()) {
     throw std::invalid_argument("AsyncTablePolicy: invalid future");
-  }
-  if (fallback_.mode == AsyncFallback::Mode::kPreviousTable) {
-    if (fallback_.previous == nullptr) {
-      throw std::invalid_argument(
-          "AsyncTablePolicy: previous-table fallback requires a table");
-    }
-    previous_ = std::make_unique<core::ProTempPolicy>(*fallback_.previous);
   }
 }
 
@@ -30,7 +22,6 @@ void AsyncTablePolicy::reset() {
   fallback_windows_ = 0;
   tripped_.clear();
   if (live_) live_->reset();
-  if (previous_) previous_->reset();
 }
 
 void AsyncTablePolicy::wait_ready_and_swap() {
@@ -53,7 +44,6 @@ linalg::Vector AsyncTablePolicy::on_window(const sim::ControllerView& view) {
   if (live_ != nullptr) return live_->on_window(view);
 
   ++fallback_windows_;
-  if (previous_) return previous_->on_window(view);
   // Trip-at-fmax: full speed, except cores observed at/above the trip,
   // which latch shut for the window (the Basic-DFS continuous-trip
   // semantics; the latch — not the commanded value, which an fmin rail
@@ -72,7 +62,6 @@ bool AsyncTablePolicy::on_sample(double time,
                                  const linalg::Vector& core_temps,
                                  linalg::Vector& frequencies) {
   if (live_ != nullptr) return live_->on_sample(time, core_temps, frequencies);
-  if (previous_) return previous_->on_sample(time, core_temps, frequencies);
   // Continuous trip protection while serving the fmax fallback: the table
   // whose guarantee would make this unnecessary is exactly what is still
   // being built. Only newly tripped cores count as an intervention.
@@ -94,7 +83,7 @@ bool AsyncTablePolicy::on_sample(double time,
 namespace {
 struct AsyncSnapshot {
   bool live = false;
-  std::any inner;  ///< live policy state (or fallback policy state)
+  std::any inner;  ///< live policy state
   std::size_t fallback_windows = 0;
   std::vector<bool> tripped;  ///< fallback trip latches
 };
@@ -103,11 +92,7 @@ struct AsyncSnapshot {
 std::any AsyncTablePolicy::save_state() const {
   AsyncSnapshot snapshot;
   snapshot.live = live_ != nullptr;
-  if (live_) {
-    snapshot.inner = live_->save_state();
-  } else if (previous_) {
-    snapshot.inner = previous_->save_state();
-  }
+  if (live_) snapshot.inner = live_->save_state();
   snapshot.fallback_windows = fallback_windows_;
   snapshot.tripped = tripped_;
   return snapshot;
@@ -123,11 +108,7 @@ void AsyncTablePolicy::load_state(const std::any& state) {
         "AsyncTablePolicy: snapshot build phase (pending/live) does not "
         "match this session's");
   }
-  if (live_) {
-    live_->load_state(snapshot.inner);
-  } else if (previous_) {
-    previous_->load_state(snapshot.inner);
-  }
+  if (live_) live_->load_state(snapshot.inner);
   fallback_windows_ = snapshot.fallback_windows;
   tripped_ = snapshot.tripped;
 }

@@ -5,13 +5,13 @@
 // session is created in async mode (SessionConfig::build_pool set), the
 // "pro-temp" factory dispatches the table build to the pool and returns an
 // AsyncTablePolicy immediately. Until the build lands, every DFS window is
-// served by the configured AsyncFallback (thermal-trip-at-fmax, or a
-// previous table); the first window boundary at which the future is ready
-// hot-swaps the real ProTempPolicy in and — if this policy's construction
-// dispatched the build — reports it through the swap callback, which
-// ControlSession routes to SessionObserver::on_table_build on the stepping
-// thread (preserving the observer threading contract even though the build
-// itself ran on a pool worker).
+// served by the AsyncFallback governor (trip-at-fmax); the first window
+// boundary at which the future is ready hot-swaps the real ProTempPolicy
+// in and — if this policy's construction dispatched the build — reports
+// it through the swap callback, which ControlSession routes to
+// SessionObserver::on_table_build on the stepping thread (preserving the
+// observer threading contract even though the build itself ran on a pool
+// worker).
 //
 // The full fallback chain is cache -> store -> AsyncFallback: when the
 // TableCache has a store::TableStore attached and the key is on disk,
@@ -43,12 +43,11 @@ namespace protemp::api {
 class AsyncTablePolicy final : public sim::DfsPolicy {
  public:
   /// `future` resolves to the Phase-1 table (or the builder's exception).
-  /// `trip_celsius` is the resolved kTripAtFmax threshold. `build_info` is
-  /// non-null iff this construction dispatched the build; the builder
+  /// `trip_celsius` is the resolved AsyncFallback threshold. `build_info`
+  /// is non-null iff this construction dispatched the build; the builder
   /// fills it before the future becomes ready (the promise publication
   /// orders the write), and the swap reports it through the swap callback.
-  AsyncTablePolicy(TableCache::Future future, AsyncFallback fallback,
-                   double trip_celsius,
+  AsyncTablePolicy(TableCache::Future future, double trip_celsius,
                    std::shared_ptr<const TableBuildInfo> build_info);
 
   /// The policy *is* pro-temp; asynchronous acquisition is a serving
@@ -91,14 +90,12 @@ class AsyncTablePolicy final : public sim::DfsPolicy {
   void try_swap();
 
   TableCache::Future future_;
-  AsyncFallback fallback_;
   double trip_celsius_;
   std::shared_ptr<const TableBuildInfo> build_info_;
   std::function<void(const TableBuildInfo&)> swap_callback_;
-  std::unique_ptr<core::ProTempPolicy> previous_;  ///< kPreviousTable mode
   std::unique_ptr<core::ProTempPolicy> live_;
   std::size_t fallback_windows_ = 0;
-  /// Per-core trip latches of the kTripAtFmax fallback, re-derived at
+  /// Per-core trip latches of the trip-at-fmax fallback, re-derived at
   /// every boundary (Basic-DFS semantics): a latched core stays at the
   /// floor for the rest of the window and does not re-report.
   std::vector<bool> tripped_;

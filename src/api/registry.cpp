@@ -611,6 +611,17 @@ std::string table_identity_key(const PolicyContext& context,
   for (const auto& [block_name, tmax] : c.node_ceilings) {
     key += util::format("|ctmax=%s:%.17g", block_name.c_str(), tmax);
   }
+  // Solver settings change which cells converge (a Newton budget or
+  // deadline can starve them), so any non-default setting is keyed in full.
+  const convex::BarrierOptions& o = c.solver;
+  if (o != convex::BarrierOptions{}) {
+    key += util::format(
+        "|solver=%.17g,%.17g,%.17g,%.17g,%zu,%zu,%zu,%.17g,%.17g,%.17g,%.17g",
+        o.t_initial, o.mu, o.tolerance, o.newton_tolerance,
+        o.max_newton_per_stage, o.max_stages, o.max_newton_total,
+        o.solve_deadline_seconds, o.line_search_alpha, o.line_search_beta,
+        o.ridge);
+  }
   return key;
 }
 
@@ -671,23 +682,8 @@ PROTEMP_REGISTER_DFS_POLICY(
         // platform — cheap next to a grid of barrier solves) because it
         // outlives this factory call, and possibly the session that
         // dispatched it.
-        const AsyncFallback& fallback = context.async_fallback;
-        if (fallback.mode == AsyncFallback::Mode::kPreviousTable) {
-          if (fallback.previous == nullptr) {
-            return Status::invalid_argument(
-                "pro-temp async: previous-table fallback requires a table");
-          }
-          if (fallback.previous->num_cores() !=
-              context.platform->num_cores()) {
-            return Status::invalid_argument(util::format(
-                "pro-temp async: previous table has %zu cores, platform "
-                "has %zu",
-                fallback.previous->num_cores(),
-                context.platform->num_cores()));
-          }
-        }
-        const double trip =
-            fallback.trip_celsius.value_or(context.optimizer.tmax);
+        const double trip = context.async_fallback.trip_celsius.value_or(
+            context.optimizer.tmax);
         auto info = std::make_shared<TableBuildInfo>();
         auto platform = std::make_shared<const arch::Platform>(
             *context.platform);
@@ -716,8 +712,7 @@ PROTEMP_REGISTER_DFS_POLICY(
         // Only the dispatching session reports the build (deferred to the
         // hot-swap, on the stepping thread); cache hits never report.
         return std::unique_ptr<sim::DfsPolicy>(new AsyncTablePolicy(
-            std::move(future), fallback, trip,
-            dispatched ? std::move(info) : nullptr));
+            std::move(future), trip, dispatched ? std::move(info) : nullptr));
       }
 
       // The builder only runs on a cache miss, so on_table_build reports

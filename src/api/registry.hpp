@@ -182,26 +182,16 @@ struct TableBuildInfo {
 };
 
 /// What a non-blocking "pro-temp" session serves while its Phase-1 table
-/// build is still in flight (the fallback contract of DESIGN.md §6c). Both
-/// modes are thermally safe; neither is workload-optimal — the point is
-/// that the control loop never waits on the optimizer.
+/// build is still in flight (the fallback contract of DESIGN.md §6c):
+/// every core runs at fmax; a core observed at/above `trip_celsius` is
+/// dropped to the platform floor (0 Hz unless sim.fmin raises it) and
+/// latched there until the next window boundary re-reads it — the
+/// Basic-DFS continuous-trip semantics, as a reactive governor. Thermally
+/// safe, not workload-optimal: the point is that the control loop never
+/// waits on the optimizer.
 struct AsyncFallback {
-  enum class Mode {
-    /// Every core runs at fmax; a core observed at/above `trip_celsius`
-    /// is dropped to the platform floor (0 Hz unless sim.fmin raises it)
-    /// and latched there until the next window boundary re-reads it — the
-    /// Basic-DFS continuous-trip semantics, as a reactive governor.
-    kTripAtFmax,
-    /// Serve lookups from `previous` (e.g. the table of a superseded
-    /// configuration) until the fresh build lands.
-    kPreviousTable,
-  };
-  Mode mode = Mode::kTripAtFmax;
-  /// Trip threshold [degC] for kTripAtFmax; unset -> ProTempConfig::tmax.
+  /// Trip threshold [degC]; unset -> ProTempConfig::tmax.
   std::optional<double> trip_celsius;
-  /// The stale table served in kPreviousTable mode (required there; its
-  /// core count must match the platform).
-  std::shared_ptr<const core::FrequencyTable> previous;
 };
 
 /// Everything a DfsPolicy factory may need beyond its options: the platform

@@ -1,7 +1,5 @@
 #include "convex/problem.hpp"
 
-#include "util/strings.hpp"
-
 namespace protemp::convex {
 
 const char* to_string(SolveStatus status) noexcept {
@@ -13,13 +11,6 @@ const char* to_string(SolveStatus status) noexcept {
     case SolveStatus::kNumericalFailure: return "numerical_failure";
   }
   return "?";
-}
-
-std::string Solution::summary() const {
-  return util::format(
-      "status=%s obj=%.6g iters=%zu gap=%.2e res_p=%.2e res_d=%.2e",
-      to_string(status), objective, iterations, gap, primal_residual,
-      dual_residual);
 }
 
 }  // namespace protemp::convex

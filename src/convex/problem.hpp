@@ -1,8 +1,7 @@
-// Common result types shared by the convex solvers.
+// Result types of the convex solver.
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 #include "linalg/vector.hpp"
 
@@ -19,21 +18,18 @@ enum class SolveStatus {
 
 const char* to_string(SolveStatus status) noexcept;
 
-/// Outcome of a solve: the primal point, objective, duals where available,
-/// and convergence diagnostics.
+/// Outcome of a solve: the primal point, objective, inequality multipliers
+/// (on success), and convergence diagnostics.
 struct Solution {
   SolveStatus status = SolveStatus::kNumericalFailure;
   linalg::Vector x;              ///< primal solution
   double objective = 0.0;        ///< objective at x
-  linalg::Vector ineq_duals;     ///< multipliers for inequality constraints
-  linalg::Vector eq_duals;       ///< multipliers for equality constraints
-  std::size_t iterations = 0;    ///< Newton/IPM iterations performed
+  linalg::Vector duals;          ///< multipliers for inequality constraints
+  std::size_t iterations = 0;    ///< Newton iterations performed
   double gap = 0.0;              ///< final duality gap estimate
   double primal_residual = 0.0;  ///< final max constraint violation
-  double dual_residual = 0.0;    ///< final stationarity residual (inf-norm)
 
   bool ok() const noexcept { return status == SolveStatus::kOptimal; }
-  std::string summary() const;
 };
 
 }  // namespace protemp::convex

@@ -648,7 +648,14 @@ ProTempOptimizer::max_throughput_with_rhs(
   }
   convex::Solution sol = convex::solve_barrier(
       throughput, x0, warm ? warm_options() : config_.solver, workspace);
-  if (warm && sol.status != convex::SolveStatus::kOptimal) {
+  // A budget-expired incumbent is served like an optimum (see
+  // solve_with_rhs): strictly feasible, and a cold retry is exactly the
+  // work the budget exists to cut off.
+  const auto served = [](const convex::Solution& s) {
+    return s.status == convex::SolveStatus::kOptimal ||
+           s.status == convex::SolveStatus::kBudgetExpired;
+  };
+  if (warm && !served(sol)) {
     // Stale warm seed: drop it and retry cold (see solve_with_rhs).
     if (workspace) workspace->forget();
     const auto start = feasible_start(lin, workspace);
@@ -656,7 +663,7 @@ ProTempOptimizer::max_throughput_with_rhs(
     sol = convex::solve_barrier(throughput, *start, config_.solver,
                                 workspace);
   }
-  if (sol.status != convex::SolveStatus::kOptimal) return std::nullopt;
+  if (!served(sol)) return std::nullopt;
   if (workspace) {
     workspace->remember(convex::SolverWorkspace::kThroughput, sol.x);
   }

@@ -3,6 +3,7 @@
 // is verified by simulating the optimizer's own assignments against the
 // discrete thermal model.
 #include <cmath>
+#include <memory>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -272,6 +273,57 @@ TEST(Optimizer, SolveFromStateGuaranteeHolds) {
       EXPECT_LE(t[node], config.tmax + 1e-4);
     }
   }
+}
+
+// A Newton budget too tight for the hot-state throughput program must serve
+// the strictly feasible incumbent, not retry cold and then report nothing.
+TEST(Optimizer, BudgetExpiredThroughputIsServed) {
+  ProTempConfig budgeted_config = fast_config();
+  budgeted_config.solver.max_newton_total = 20;
+  const ProTempOptimizer unbudgeted(niagara(), fast_config());
+  const ProTempOptimizer budgeted(niagara(), budgeted_config);
+  const Vector hot(niagara().num_nodes(), 95.0);
+  const auto optimum = unbudgeted.max_supported_frequency_from_state(hot);
+  ASSERT_TRUE(optimum);
+
+  // Cold: phase-I plus a starved solve still yields a usable assignment.
+  const auto cold = budgeted.max_supported_frequency_from_state(hot);
+  ASSERT_TRUE(cold);
+  EXPECT_GT(cold->average_frequency, 0.0);
+  EXPECT_LE(cold->average_frequency, optimum->average_frequency + mhz(0.1));
+
+  // Warm from a hotter state's optimum (strictly feasible here): the
+  // budget expires in the warm solve, and that solve is the only one.
+  convex::SolverWorkspace workspace;
+  ASSERT_TRUE(unbudgeted.max_supported_frequency_from_state(
+      Vector(niagara().num_nodes(), 96.0), &workspace));
+  budgeted_config.solver.max_newton_total = 10;
+  const ProTempOptimizer starved(niagara(), budgeted_config);
+  const convex::SolverWorkspace::Stats before = workspace.stats();
+  const auto warm = starved.max_supported_frequency_from_state(hot, &workspace);
+  ASSERT_TRUE(warm);
+  EXPECT_EQ(workspace.stats().warm_started, before.warm_started + 1);
+  EXPECT_EQ(workspace.stats().solves, before.solves + 1);
+  EXPECT_EQ(workspace.stats().budget_expired, before.budget_expired + 1);
+  EXPECT_GT(warm->average_frequency, cold->average_frequency);
+  EXPECT_LE(warm->average_frequency, optimum->average_frequency + mhz(0.1));
+}
+
+TEST(Optimizer, BudgetedOnlineWindowIsNotAllZero) {
+  ProTempConfig config = fast_config();
+  config.solver.max_newton_total = 20;
+  OnlineProTempPolicy policy(
+      std::make_shared<const ProTempOptimizer>(niagara(), config));
+  sim::ControllerView view;
+  view.num_cores = niagara().num_cores();
+  view.dfs_period = config.dfs_period;
+  view.fmax = niagara().fmax();
+  view.core_temps = Vector(view.num_cores, 95.0);
+  view.sensor_temps = Vector(niagara().num_nodes(), 95.0);
+  view.backlog_work = 10.0;  // demand far above what 95 degC can serve
+  const Vector f = policy.on_window(view);
+  EXPECT_EQ(policy.stats().infeasible, 1u);
+  EXPECT_GT(f.sum(), 0.0);
 }
 
 TEST(Optimizer, StateVectorSizeValidated) {

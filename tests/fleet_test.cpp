@@ -28,7 +28,6 @@ namespace protemp {
 namespace {
 
 using api::ActuationCommand;
-using api::AsyncFallback;
 using api::AsyncTablePolicy;
 using api::ControlSession;
 using api::FleetConfig;
@@ -92,15 +91,13 @@ struct ManualAsyncSession {
 };
 
 ManualAsyncSession make_manual_session(
-    AsyncFallback fallback = {}, double trip = 90.0,
-    std::shared_ptr<const TableBuildInfo> info = nullptr,
+    double trip = 90.0, std::shared_ptr<const TableBuildInfo> info = nullptr,
     const SessionConfig& config = {}) {
   ManualAsyncSession out;
   StatusOr<arch::Platform> platform = api::make_platform("niagara8");
   EXPECT_TRUE(platform.ok());
   auto policy = std::make_unique<AsyncTablePolicy>(
-      out.promise.get_future().share(), std::move(fallback), trip,
-      std::move(info));
+      out.promise.get_future().share(), trip, std::move(info));
   out.policy = policy.get();
   StatusOr<std::unique_ptr<sim::AssignmentPolicy>> assignment =
       api::make_assignment_policy("first-idle");
@@ -192,7 +189,7 @@ TEST(AsyncTablePolicy, FallbackWindowCountIsDeterministic) {
   info->cols = 1;
   SessionConfig config;
   config.observers = {&observer};
-  ManualAsyncSession manual = make_manual_session({}, 90.0, info, config);
+  ManualAsyncSession manual = make_manual_session(90.0, info, config);
   ControlSession& session = *manual.session;
   const std::size_t cores = session.num_cores();
 
@@ -233,7 +230,7 @@ TEST(AsyncTablePolicy, FallbackWindowCountIsDeterministic) {
 }
 
 TEST(AsyncTablePolicy, TripAtFmaxFallbackBehavior) {
-  ManualAsyncSession manual = make_manual_session({}, /*trip=*/90.0);
+  ManualAsyncSession manual = make_manual_session(/*trip=*/90.0);
   ControlSession& session = *manual.session;
   const std::size_t cores = session.num_cores();
   const double fmax = session.platform().fmax();
@@ -272,38 +269,6 @@ TEST(AsyncTablePolicy, TripAtFmaxFallbackBehavior) {
   ASSERT_TRUE(command.ok());
   EXPECT_TRUE(command->window_boundary);
   EXPECT_DOUBLE_EQ(command->frequencies[2], fmax);
-}
-
-TEST(AsyncTablePolicy, PreviousTableFallbackServesStaleTable) {
-  const StatusOr<arch::Platform> platform = api::make_platform("niagara8");
-  ASSERT_TRUE(platform.ok());
-  auto stale = std::make_shared<const core::FrequencyTable>(
-      build_tiny_table(*platform));
-  AsyncFallback fallback;
-  fallback.mode = AsyncFallback::Mode::kPreviousTable;
-  fallback.previous = stale;
-  ManualAsyncSession manual = make_manual_session(fallback);
-  ControlSession& session = *manual.session;
-  const std::size_t cores = session.num_cores();
-
-  // Window decisions while pending must match a plain ProTempPolicy over
-  // the same stale table (driven with an identical view).
-  core::ProTempPolicy reference(*stale);
-  sim::ControllerView view;
-  view.time = 0.0;
-  view.dfs_period = 0.05;
-  view.core_temps = linalg::Vector(cores, 60.0);
-  view.sensor_temps = view.core_temps;
-  view.num_cores = cores;
-  view.fmax = session.platform().fmax();
-  const linalg::Vector expected = reference.on_window(view);
-
-  const auto command = session.step(frame_at(0, 0.01, cores, 60.0));
-  ASSERT_TRUE(command.ok());
-  ASSERT_TRUE(session.table_build_pending());
-  for (std::size_t c = 0; c < cores; ++c) {
-    EXPECT_DOUBLE_EQ(command->frequencies[c], expected[c]);
-  }
 }
 
 // ------------------------------------------------------ async == sync ----

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -356,6 +357,22 @@ TEST(IdentityKey, HetAndCeilingsNeverAliasHomogeneous) {
   api::PolicyContext stride_context = context;
   stride_context.optimizer.table_interp_stride = 3;
   EXPECT_EQ(api::table_identity_key(stride_context, *grid), homog_key);
+
+  // Solver budgets change which cells converge, so each keys its own
+  // table; the default solver adds no segment at all.
+  EXPECT_EQ(homog_key.find("|solver"), std::string::npos);
+  api::PolicyContext per_stage = context;
+  per_stage.optimizer.solver.max_newton_per_stage = 3;
+  api::PolicyContext total = context;
+  total.optimizer.solver.max_newton_total = 3;
+  api::PolicyContext deadline = context;
+  deadline.optimizer.solver.solve_deadline_seconds = 0.01;
+  std::set<std::string> keys = {homog_key};
+  for (const api::PolicyContext* budget : {&per_stage, &total, &deadline}) {
+    const std::string key = api::table_identity_key(*budget, *grid);
+    EXPECT_NE(key.find("|solver="), std::string::npos);
+    EXPECT_TRUE(keys.insert(key).second) << key;
+  }
 }
 
 // ------------------------------------------------- interpolated serving --
